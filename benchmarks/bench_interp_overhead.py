@@ -1,13 +1,14 @@
-"""Ablation: execution-strategy overhead (interpreted vs compiled).
+"""Ablation: execution-strategy overhead (tree walker vs fast path).
 
-The paper's future-work native compiler exists "so Tetra programs can be
-run more efficiently than with the interpreter"; this benchmark measures
-the whole ladder on fib(18):
+The paper's future-work compiler exists "so Tetra programs can be run
+more efficiently than with the interpreter"; this benchmark measures the
+Python-side ladder on fib(18):
 
 * the seed **tree-walking interpreter** (``fast=False``, per-node dispatch),
 * the **closure fast path** (``repro.interp.compile``, the default),
-* the Tetra→Python **compiler**,
 * **hand-written Python** as the floor.
+
+The native C tier has its own ladder in ``bench_native_tiers.py``.
 
 Runs as a pytest-benchmark module (the repo's usual harness) and as a
 script — ``python benchmarks/bench_interp_overhead.py --smoke --json
@@ -21,8 +22,6 @@ import time
 import textwrap
 
 from repro.api import run_source
-from repro.compiler import compile_to_python, load_compiled
-from repro.stdlib.io import CapturingIO
 
 FIB_N = 18
 
@@ -62,12 +61,6 @@ def run_fast_path():
     return run_source(FIB_TETRA, backend="sequential").output_lines()
 
 
-def run_compiled_module(module):
-    io = CapturingIO()
-    module["run"](io=io)
-    return io.lines()
-
-
 def _timed_once(fn):
     start = time.perf_counter()
     fn()
@@ -79,8 +72,8 @@ def measure(rounds=5):
 
     Two methodology notes, both learned the hard way:
 
-    * Rounds are **interleaved** (walker, fast path, compiled, python,
-      then again) rather than timed back-to-back per strategy: shared CI
+    * Rounds are **interleaved** (walker, fast path, python, then
+      again) rather than timed back-to-back per strategy: shared CI
       machines drift in speed over a benchmark's lifetime, and
       interleaving spreads that drift evenly across strategies so the
       walker/fast-path *ratio* stays honest even when absolute times
@@ -95,14 +88,11 @@ def measure(rounds=5):
       starts a new frame stack at a fixed depth, which makes the numbers
       reproducible across harnesses.
     """
-    module = load_compiled(compile_to_python(FIB_TETRA))
     assert run_walker() == [EXPECTED]
     assert run_fast_path() == [EXPECTED]
-    assert run_compiled_module(module) == [EXPECTED]
     strategies = {
         "interpreter": run_walker,
         "fast_path": run_fast_path,
-        "compiled": lambda: run_compiled_module(module),
         "python": lambda: fib_python(FIB_N),
     }
 
@@ -130,15 +120,10 @@ except ImportError:  # pragma: no cover - script mode without pytest
 if pytest is not None:
     from conftest import format_table
 
-    @pytest.fixture(scope="module")
-    def compiled_module():
-        return load_compiled(compile_to_python(FIB_TETRA))
-
-    def test_all_strategies_agree(benchmark, compiled_module):
+    def test_all_strategies_agree(benchmark):
         benchmark.pedantic(run_fast_path, rounds=1, iterations=1)
         assert run_walker() == [EXPECTED]
         assert run_fast_path() == [EXPECTED]
-        assert run_compiled_module(compiled_module) == [EXPECTED]
 
     def test_fast_path_agrees_on_all_backends(benchmark):
         benchmark.pedantic(run_fast_path, rounds=1, iterations=1)
@@ -159,20 +144,14 @@ if pytest is not None:
             ["closure fast path",
              round(times["fast_path"] * 1000, 1),
              round(times["fast_path"] / native, 1)],
-            ["compiled to Python",
-             round(times["compiled"] * 1000, 1),
-             round(times["compiled"] / native, 1)],
             ["hand-written Python",
              round(times["python"] * 1000, 1), 1.0],
         ]
         speedup = times["interpreter"] / times["fast_path"]
         report.emit(f"Ablation: execution strategy on fib({FIB_N})", [
             *format_table(["strategy", "ms (best of 5)", "vs native"], rows),
-            f"closure precompilation is {speedup:.2f}x the tree walker; "
-            "the compiler removes the remaining interpretation overhead, "
-            "as the paper's future-work section anticipates.",
+            f"closure precompilation is {speedup:.2f}x the tree walker.",
         ])
-        assert times["compiled"] < times["interpreter"]
         assert speedup >= MIN_FAST_SPEEDUP
 
     def test_interpreted_fib(benchmark):
@@ -180,10 +159,6 @@ if pytest is not None:
 
     def test_fast_path_fib(benchmark):
         benchmark.pedantic(run_fast_path, rounds=3, iterations=1)
-
-    def test_compiled_fib(benchmark, compiled_module):
-        benchmark.pedantic(lambda: run_compiled_module(compiled_module),
-                           rounds=3, iterations=1)
 
 
 # ----------------------------------------------------------------------
@@ -193,7 +168,7 @@ def main(argv=None):
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="fib wall-time for interpreter, fast path, compiled, "
+        description="fib wall-time for the tree walker, the fast path, "
                     "and hand-written Python",
     )
     parser.add_argument("--smoke", action="store_true",
@@ -213,7 +188,7 @@ def main(argv=None):
         "fast_path_speedup": round(speedup, 3),
         "min_fast_speedup": MIN_FAST_SPEEDUP,
     }
-    for name in ("interpreter", "fast_path", "compiled", "python"):
+    for name in ("interpreter", "fast_path", "python"):
         print(f"{name:>12}: {times[name] * 1000:8.2f} ms")
     print(f"fast path is {speedup:.2f}x the tree walker "
           f"(floor: {MIN_FAST_SPEEDUP}x)")

@@ -1,5 +1,2 @@
-"""Tetra → Python compiler (the paper's future-work native compiler)."""
-
-from .codegen import CodeGenerator, compile_to_python, load_compiled, run_compiled
-
-__all__ = ["CodeGenerator", "compile_to_python", "load_compiled", "run_compiled"]
+"""The native compiled tier (the paper's future-work compiler): Tetra→C
+kernels in :mod:`repro.compiler.native`."""

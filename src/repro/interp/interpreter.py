@@ -94,6 +94,7 @@ from ..runtime import (
     real_mod,
     tetra_pow,
 )
+from ..runtime.backend import block_sizes, guided_chunk_sizes
 from ..runtime.values import TetraDict, TetraObject, TetraTuple
 from ..runtime.cost import DEFAULT_COST_MODEL, CostModel
 from ..stdlib.io import IOChannel, StandardIO
@@ -715,8 +716,6 @@ class Interpreter:
             # (decreasing) slice sizes dealt round-robin, so each worker
             # holds a mix of large and small slices — the static analogue
             # of guided self-scheduling, good for skewed iteration costs.
-            from ..runtime.backend import guided_chunk_sizes
-
             sizes = guided_chunk_sizes(len(items), workers)
             chunks = [[] for _ in range(workers)]
             start = 0
@@ -724,13 +723,9 @@ class Interpreter:
                 chunks[i % workers].extend(items[start:start + size])
                 start += size
             return chunks
-        # Block chunking: contiguous ranges, sizes differing by at most one.
-        n = len(items)
-        base, extra = divmod(n, workers)
         chunks: list[list[Value]] = []
         start = 0
-        for w in range(workers):
-            size = base + (1 if w < extra else 0)
+        for size in block_sizes(len(items), workers):
             chunks.append(items[start:start + size])
             start += size
         return chunks

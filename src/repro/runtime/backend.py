@@ -155,6 +155,13 @@ class RuntimeConfig:
             self.fault_plan = FaultPlan(self.chaos_seed)
 
 
+def block_sizes(n: int, workers: int) -> list[int]:
+    """Block partition sizes: one contiguous range per worker, sizes
+    differing by at most one (the larger ranges first)."""
+    base, extra = divmod(n, workers)
+    return [base + (1 if w < extra else 0) for w in range(workers)]
+
+
 def guided_chunk_sizes(n: int, workers: int, min_chunk: int = 1) -> list[int]:
     """Guided self-scheduling chunk sizes: each next chunk takes
     ``remaining / (2 * workers)`` iterations, so early chunks are large

@@ -57,6 +57,7 @@ from ..stdlib.builtin_time import monotonic_clock
 from .backend import (
     RuntimeConfig,
     ThreadBackend,
+    block_sizes,
     guided_chunk_sizes,
     raise_thread_failures,
 )
@@ -443,8 +444,7 @@ class ProcBackend(ThreadBackend):
         if mode == "dynamic":
             sizes = guided_chunk_sizes(n, jobs)
         else:  # block
-            base, extra = divmod(n, jobs)
-            sizes = [base + (1 if w < extra else 0) for w in range(jobs)]
+            sizes = block_sizes(n, jobs)
         out = []
         start = 0
         for size in sizes:

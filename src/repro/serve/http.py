@@ -322,6 +322,10 @@ class TetraServer(ThreadingHTTPServer):
 
     daemon_threads = True
     allow_reuse_address = True
+    #: listen() backlog.  socketserver's default of 5 drops SYNs when a
+    #: class connects at once, and each dropped client waits out a 1 s
+    #: retransmit timeout.
+    request_queue_size = 128
 
     def __init__(self, address, service: ExecutionService,
                  verbose: bool = False):

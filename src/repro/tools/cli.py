@@ -8,7 +8,7 @@ developer-tool subcommands a real release needs:
     tetra check program.ttr        type-check only, print all diagnostics
     tetra tokens program.ttr       dump the token stream
     tetra ast program.ttr          dump the abstract syntax tree
-    tetra compile program.ttr      emit the compiled Python module
+    tetra compile program.ttr      emit a standalone Python module
     tetra highlight program.ttr    print the source with ANSI colors
     tetra dbg program.ttr          interactive parallel debugger (TUI)
     tetra builtins                 list the standard library
@@ -219,15 +219,58 @@ def cmd_ast(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compile(args: argparse.Namespace) -> int:
-    source = _read(args.file)
-    from ..compiler import compile_to_python
+_COMPILED_MODULE = '''\
+"""A Tetra program packaged by ``tetra compile``.
 
+``python thisfile.py`` behaves like ``tetra run`` on the program: same
+output, diagnostics and exit code.  Or import it and call ``run()``.
+"""
+
+import sys
+
+from repro.api import run_source
+from repro.errors import TetraError, exit_code_for
+from repro.resilience import CancelToken, install_sigint
+from repro.runtime import RuntimeConfig
+from repro.source import SourceFile
+from repro.stdlib.io import StandardIO
+
+NAME = {name!r}
+SOURCE = {source!r}
+
+
+def run(io=None, num_workers=None, chunking="block"):
+    """Run the program once; returns its :class:`repro.api.RunResult`."""
+    token = CancelToken()
+    with install_sigint(token):
+        return run_source(
+            SOURCE, name=NAME, io=io if io is not None else StandardIO(),
+            config=RuntimeConfig(num_workers=num_workers, chunking=chunking,
+                                 cancel=token),
+        )
+
+
+if __name__ == "__main__":
     try:
-        code = compile_to_python(source.text, module_name=args.file)
+        run()
     except TetraError as exc:
+        exc.attach_source(SourceFile.from_string(SOURCE, NAME))
         print(exc.render(), file=sys.stderr)
+        sys.exit(exit_code_for(exc))
+'''
+
+
+def cmd_compile(args: argparse.Namespace) -> int:
+    """Emit a standalone module that runs the program the way ``tetra
+    run`` does (through :func:`repro.api.run_source`), after the same
+    parse and type check."""
+    source = _read(args.file)
+    diagnostics = check_source(source.text, args.file)
+    if diagnostics:
+        for exc in diagnostics:
+            print(exc.render(), file=sys.stderr)
         return 1
+    code = _COMPILED_MODULE.format(name=args.file, source=source.text)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(code)
@@ -515,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     ast.set_defaults(func=cmd_ast)
 
     compile_ = sub.add_parser("compile",
-                              help="compile to a Python module")
+                              help="package as a standalone Python module")
     compile_.add_argument("file")
     compile_.add_argument("-o", "--output", default=None,
                           help="write to a file instead of stdout")

@@ -24,6 +24,18 @@ def run_output(text: str, inputs: list[str] | None = None, backend="thread",
                       config=config, **kwargs).output
 
 
+def walker_differential(text: str, inputs: list[str] | None = None,
+                        backend="sequential") -> str:
+    """Run dedented Tetra source on the closure fast path and on the
+    reference tree walker; assert byte-identical output and return it."""
+    text = textwrap.dedent(text)
+    fast = run_source(text, inputs=list(inputs or []), backend=backend).output
+    walker = run_source(text, inputs=list(inputs or []), backend=backend,
+                        fast=False, cache=False).output
+    assert fast == walker, f"fast path {fast!r} != walker {walker!r}"
+    return fast
+
+
 @pytest.fixture(params=["thread", "sequential", "coop", "sim"])
 def any_backend(request):
     """Parameterizes a test over every execution backend."""

@@ -2,18 +2,16 @@
 
 Classes are nominal record types with typed fields, an implicit positional
 constructor, implicit-``self`` methods, and no inheritance (LANGUAGE.md).
-Covered here: checker rules, runtime semantics on every backend, compiled
-differentials, unparse round trips, and interaction with the other
-extensions (tuples, dicts, try/catch).
+Covered here: checker rules, runtime semantics on every backend,
+fast-path vs walker differentials, unparse round trips, and interaction
+with the other extensions (tuples, dicts, try/catch).
 """
 
 import textwrap
 
 import pytest
 
-from conftest import run
-from repro.api import run_source
-from repro.compiler import run_compiled
+from conftest import run, walker_differential as differential
 from repro.errors import TetraRuntimeError, TetraSyntaxError
 from repro.parser import parse_source
 from repro.source import SourceFile
@@ -393,15 +391,8 @@ class TestClassRuntime:
 
 
 class TestClassCompiled:
-    def differential(self, text):
-        text = textwrap.dedent(text)
-        a = run_source(text).output
-        b = run_compiled(text).output
-        assert a == b
-        return a
-
     def test_full_differential(self):
-        self.differential(with_point("""
+        differential(with_point("""
             def main():
                 p = Point(3, 4)
                 print(p.magnitude())
@@ -414,7 +405,7 @@ class TestClassCompiled:
         """))
 
     def test_mutual_reference_differential(self):
-        self.differential("""
+        differential("""
             class Node:
                 value int
 

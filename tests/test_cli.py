@@ -141,8 +141,10 @@ class TestToolCommands:
     def test_compile_to_stdout(self, prog, capsys):
         assert main(["compile", prog(FIGURE_2_PARALLEL_SUM)]) == 0
         out = capsys.readouterr().out
-        assert "def t_sumr" in out
-        assert "run_group" in out
+        compile(out, "<compiled>", "exec")  # a valid module
+        assert "from repro.api import run_source" in out
+        assert repr(FIGURE_2_PARALLEL_SUM) in out  # the source, embedded
+        assert 'def run(io=None, num_workers=None, chunking="block"):' in out
 
     def test_compile_to_file_runs(self, prog, tmp_path, capsys):
         out_path = str(tmp_path / "compiled.py")

@@ -1,94 +1,63 @@
-"""Compiler tests: generated-code structure plus interpreter differentials.
+"""``tetra compile`` and the fast-path/walker differentials.
 
-The strongest check is differential: for every program, the compiled
-module's output must equal the interpreter's byte for byte.
+``tetra compile`` emits a standalone module that runs the program through
+:func:`repro.api.run_source`, so ``python out.py`` must match ``tetra run``
+on stdout, the rendered diagnostic and the exit code.  The differentials
+run every program on the closure fast path and on the reference tree
+walker, which must agree byte for byte.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
 import textwrap
 
 import pytest
 
-from repro.api import run_source
-from repro.compiler import compile_to_python, load_compiled, run_compiled
+import repro
+from conftest import walker_differential as differential
 from repro.errors import TetraDeadlockError, TetraIndexError
 from repro.programs import ALL_PROGRAMS
 from repro.stdlib.io import CapturingIO
+from repro.tools.cli import main
+
+SRC = str(pathlib.Path(repro.__file__).resolve().parents[1])
 
 
-def differential(text: str, inputs=None):
-    text = textwrap.dedent(text)
-    interpreted = run_source(text, inputs=list(inputs or [])).output
-    compiled = run_compiled(text, inputs=list(inputs or [])).output
-    assert compiled == interpreted, (
-        f"compiled {compiled!r} != interpreted {interpreted!r}"
-    )
-    return compiled
+@pytest.fixture
+def compiled(tmp_path):
+    """Compile dedented Tetra text with ``tetra compile -o``; returns the
+    emitted module's path and its namespace (``__main__`` not run)."""
+    def build(text):
+        src = tmp_path / "prog.ttr"
+        src.write_text(textwrap.dedent(text))
+        out = tmp_path / "prog.py"
+        assert main(["compile", str(src), "-o", str(out)]) == 0
+        namespace = {}
+        exec(compile(out.read_text(), str(out), "exec"), namespace)
+        return out, namespace
+
+    return build
 
 
 class TestGeneratedCode:
-    def test_module_is_valid_python(self):
-        code = compile_to_python(ALL_PROGRAMS["figure1_factorial"])
-        compile(code, "<test>", "exec")  # must not raise
+    def test_module_is_valid_python(self, compiled):
+        out, _ = compiled(ALL_PROGRAMS["figure1_factorial"])
+        compile(out.read_text(), "<test>", "exec")  # must not raise
 
-    def test_functions_are_mangled(self):
-        code = compile_to_python("def fact(x int) int:\n    return x\n")
-        assert "def t_fact(v_x):" in code
-
-    def test_int_division_lowered_to_helper(self):
-        code = compile_to_python(
-            "def main():\n    x = 7 / 2\n"
-        )
-        assert "rt.int_div" in code
-
-    def test_real_division_lowered_to_checked_helper(self):
-        code = compile_to_python(
-            "def main():\n    x = 7.0 / 2.0\n"
-        )
-        assert "rt.real_div" in code
-
-    def test_parallel_block_emits_nonlocal(self):
-        code = compile_to_python(textwrap.dedent("""
-            def main():
-                parallel:
-                    a = 1
-                    b = 2
-                print(a + b)
-        """))
-        assert "nonlocal v_a" in code
-        assert "v_a = None" in code  # pre-initialized for the nonlocal
-        assert "run_group" in code
-
-    def test_parallel_for_worker_function(self):
-        code = compile_to_python(textwrap.dedent("""
-            def main():
-                parallel for i in [1 ... 4]:
-                    x = i
-        """))
-        assert "run_parallel_for" in code
-        assert "nonlocal v_x" in code
-
-    def test_lock_emits_context_manager(self):
-        code = compile_to_python(textwrap.dedent("""
-            def main():
-                lock guard:
-                    x = 1
-        """))
-        assert "_rt.lock('guard'" in code or '_rt.lock("guard"' in code
-
-    def test_module_exposes_run(self):
-        namespace = load_compiled(
-            compile_to_python("def main():\n    print(1)\n")
-        )
+    def test_module_exposes_run(self, compiled):
+        _, namespace = compiled("def main():\n    print(1)\n")
         assert callable(namespace["run"])
 
-    def test_run_twice_fresh_state(self):
-        namespace = load_compiled(compile_to_python(textwrap.dedent("""
+    def test_run_twice_fresh_state(self, compiled):
+        _, namespace = compiled("""
             def main():
                 x = 0
                 lock a:
                     x = 1
                 print(x)
-        """)))
+        """)
         first = CapturingIO()
         second = CapturingIO()
         namespace["run"](io=first)
@@ -200,36 +169,111 @@ class TestDifferentials:
 
 
 class TestCompiledRuntimeBehaviour:
-    def test_runtime_errors_preserved(self):
+    def test_runtime_errors_preserved(self, compiled):
+        _, namespace = compiled("def main():\n    print([1][5])\n")
         with pytest.raises(TetraIndexError):
-            run_compiled("def main():\n    print([1][5])\n")
+            namespace["run"](io=CapturingIO())
 
-    def test_deadlock_detection_works_compiled(self):
+    def test_deadlock_detection_works_compiled(self, compiled):
         # Self re-entry is deterministic even with real threads.
-        with pytest.raises(TetraDeadlockError, match="not re-entrant"):
-            run_compiled(textwrap.dedent("""
-                def main():
+        _, namespace = compiled("""
+            def main():
+                lock a:
                     lock a:
-                        lock a:
-                            x = 1
-            """))
+                        x = 1
+        """)
+        with pytest.raises(TetraDeadlockError, match="not re-entrant"):
+            namespace["run"](io=CapturingIO())
 
-    def test_worker_and_chunking_options(self):
-        out = run_compiled(textwrap.dedent("""
+    def test_worker_and_chunking_options(self, compiled):
+        _, namespace = compiled("""
             def main():
                 total = 0
                 parallel for i in [1 ... 20]:
                     lock t:
                         total += i
                 print(total)
-        """), num_workers=3, chunking="cyclic")
-        assert out.output == "210\n"
+        """)
+        io = CapturingIO()
+        namespace["run"](io=io, num_workers=3, chunking="cyclic")
+        assert io.output == "210\n"
 
-    def test_background_joined_at_exit(self):
-        out = run_compiled(textwrap.dedent("""
+    def test_background_joined_at_exit(self, compiled):
+        _, namespace = compiled("""
             def main():
                 background:
                     print("late")
                 print("early")
-        """))
-        assert sorted(out.lines()) == ["early", "late"]
+        """)
+        io = CapturingIO()
+        namespace["run"](io=io)
+        assert sorted(io.lines()) == ["early", "late"]
+
+
+#: Programs whose diagnostics come from the walker's checks: the error
+#: column, failure aggregation across threads, the recursion limit and
+#: lock re-entry.  The emitted module must match ``tetra run`` on each.
+PROBES = {
+    "index_column": """
+        def main():
+            xs = [1, 2, 3]
+            i = 5
+            print(xs[i])
+    """,
+    "two_failing_threads": """
+        def main():
+            parallel:
+                x = [1][3]
+                y = 1 / 0
+    """,
+    "parallel_for_division_by_zero": """
+        def main():
+            total = 0
+            parallel for i in [0 ... 3]:
+                lock t:
+                    total += 12 / i
+            print(total)
+    """,
+    "recursion_limit": """
+        def f(n int) int:
+            if n == 0:
+                return 0
+            return 1 + f(n - 1)
+
+        def main():
+            print(f(5000))
+    """,
+    "lock_reentry": """
+        def main():
+            lock a:
+                lock a:
+                    print(1)
+    """,
+}
+
+
+def _python(*argv):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, timeout=120, env=env)
+    return done.stdout, done.stderr, done.returncode
+
+
+class TestCompiledMatchesRun:
+    @pytest.mark.parametrize("name", sorted(PROBES))
+    def test_module_matches_tetra_run(self, name, compiled):
+        out, _ = compiled(PROBES[name])
+        prog = str(out.with_suffix(".ttr"))
+        expected = _python("-m", "repro.tools.cli", "run", prog)
+        assert expected[2] != 0 and prog in expected[1]
+        assert _python(str(out)) == expected
+
+    def test_type_errors_fail_the_compile(self, tmp_path, capsys):
+        src = tmp_path / "bad.ttr"
+        src.write_text('def main():\n    x = 1 + "a"\n    y int = "s"\n')
+        out = tmp_path / "bad.py"
+        assert main(["compile", str(src), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "bad.ttr:2:9: type error" in err
+        assert "bad.ttr:3:5: type error" in err
+        assert not out.exists()

@@ -5,7 +5,7 @@
 * error handling (``try`` / ``catch`` and the ``error()`` builtin).
 
 Each feature is exercised through the whole pipeline: checker accept/reject,
-interpreter semantics (all backends), compiled-code differential, and
+interpreter semantics (all backends), fast-path vs walker differential, and
 unparse round-trips.
 """
 
@@ -13,9 +13,7 @@ import textwrap
 
 import pytest
 
-from conftest import run
-from repro.api import run_source
-from repro.compiler import run_compiled
+from conftest import run, walker_differential as differential
 from repro.errors import (
     TetraDeadlockError,
     TetraIndexError,
@@ -41,14 +39,6 @@ def reject(text: str, match: str):
 
 def accept(text: str):
     assert errors_of(text) == []
-
-
-def differential(text: str):
-    text = textwrap.dedent(text)
-    interpreted = run_source(text).output
-    compiled = run_compiled(text).output
-    assert interpreted == compiled
-    return interpreted
 
 
 class TestDictChecker:

@@ -382,9 +382,14 @@ class TestExecutionService:
     def test_crashed_worker_does_not_poison_the_pool(self, service):
         handle = service.submit({"source": SPIN, "time_limit": 25.0,
                                  "step_limit": 500_000_000})
+        # Kill only after the worker's start-ack: a death before it is
+        # infrastructure's fault and is retried (the test below), not a
+        # crash of the program.
+        execution = service._runs[handle.id].shared.handle
         deadline = time.monotonic() + 5.0
-        while handle.worker_pid is None and time.monotonic() < deadline:
+        while not execution.run_started and time.monotonic() < deadline:
             time.sleep(0.01)
+        assert execution.run_started
         os.kill(handle.worker_pid, signal.SIGKILL)  # simulate an OOM kill
         result = handle.wait(10.0)
         assert result["exit_code"] == EXIT_ERROR
@@ -396,6 +401,33 @@ class TestExecutionService:
         assert stats["workers"] == service.config.workers
         assert stats["crashed"] >= 1
         assert handle.worker_pid not in stats["worker_pids"]
+
+    def test_worker_killed_before_start_ack_is_retried(self, service):
+        # Stopped workers cannot ack, so the kill below is certain to land
+        # before the start-ack: the run must be redispatched transparently.
+        stopped = service.pool.stats()["worker_pids"]
+        for pid in stopped:
+            os.kill(pid, signal.SIGSTOP)
+        try:
+            handle = service.submit({"source": COUNT})
+            deadline = time.monotonic() + 5.0
+            while handle.worker_pid is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            victim = handle.worker_pid
+            assert victim in stopped
+            os.kill(victim, signal.SIGKILL)
+        finally:
+            for pid in stopped:
+                try:
+                    os.kill(pid, signal.SIGCONT)
+                except ProcessLookupError:
+                    pass
+        result = handle.wait(10.0)
+        assert result["exit_code"] == 0, result
+        assert result["output"] == "0\n1\n2\n3\n"
+        stats = service.pool.stats()
+        assert stats["infra_retried"] >= 1
+        assert victim not in stats["worker_pids"]
 
     def test_watchdog_kills_wedged_run(self):
         svc = ExecutionService(_cfg(workers=1, watchdog_grace=0.5))
