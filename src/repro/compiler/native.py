@@ -20,10 +20,13 @@ Eligibility reuses the static machinery that already exists:
 
 Lowering contract (see DESIGN §2c for the full write-up):
 
-* ``int`` is ``int64_t`` with two's-complement wraparound (``-fwrapv``) —
-  the one semantic deviation from Python's big integers.  Function calls
-  whose *arguments* don't fit in 64 bits delegate to the Python fallback
-  invoker, so the deviation is only observable through in-kernel overflow.
+* ``int`` is ``int64_t`` with checked arithmetic: a result that leaves
+  the 64-bit range (``+ - *``, negation, ``abs``, ``INT64_MIN / -1``,
+  ``floor``/``ceil``/``round`` of a huge real) latches ``TT_OVERFLOW``,
+  and the call *deoptimizes* — a function re-runs on the Python fast path,
+  a ``parallel for`` re-runs in-process — so Python's big integers are
+  never cut short.  Arguments that don't fit in 64 bits take the same
+  fallback before the call.
 * ``real`` is ``double`` (bit-identical to CPython floats), ``bool`` is
   ``int64_t`` 0/1.
 * Arrays are marshalled by copy (pointer + length); element stores are
@@ -90,7 +93,7 @@ from ..types import BOOL, INT, REAL, VOID, ArrayType, BoolType, IntType, RealTyp
 #: Bumped whenever the C runtime protocol (tt_ctx layout, helper
 #: signatures, kernel calling convention) changes; stale on-disk artifacts
 #: with a different ABI recompile cold instead of erroring.
-ABI_VERSION = 1
+ABI_VERSION = 2
 
 #: Cached shared objects beyond this count are evicted oldest-first.
 CACHE_MAX_ENTRIES = 64
@@ -293,8 +296,9 @@ def _compile_so(cc: str, c_source: str, out_path: str) -> None:
         so_tmp = os.path.join(tmp, "kernel.so")
         with open(c_path, "w") as fh:
             fh.write(c_source)
-        # -fwrapv makes signed int64 overflow well-defined wraparound —
-        # part of the lowering contract, not an optimization knob.
+        # Tetra int arithmetic is overflow-checked in the prelude;
+        # -fwrapv keeps the hidden counter of a `for` loop ending at
+        # INT64_MAX well-defined when it steps past its last value.
         cmd = [cc, "-O2", "-fwrapv", "-shared", "-fPIC",
                "-o", so_tmp, c_path, "-lpthread", "-lm"]
         proc = subprocess.run(cmd, capture_output=True, text=True)
@@ -354,17 +358,38 @@ def load_module(lowering: Lowering, cc: str) -> NativeModule:
 
 
 def _reset_for_tests() -> None:
-    """Forget the toolchain probe and loaded modules (test isolation)."""
+    """Forget the toolchain probe and loaded modules (test isolation).
+
+    Each forgotten module is dlclosed here and now.  Left to the garbage
+    collector, the handle would outlive the table entry whenever a
+    reference cycle (interpreter -> invoker closure -> NativeRun) holds
+    it, and glibc's dlopen of the same path would then hand back the
+    still-mapped library instead of reading the file on disk.
+    """
     global _probed
     with _probe_lock:
         _probed = None
     with _modules_lock:
+        for module in _modules.values():
+            module.ffi.dlclose(module.lib)
         _modules.clear()
 
 
 # ----------------------------------------------------------------------
 # Error mapping (C error codes -> Tetra exceptions)
 # ----------------------------------------------------------------------
+#: The C side's TT_OVERFLOW: an int result left the 64-bit range.  It is
+#: not an error of the program, so it maps to a deoptimization, not to an
+#: exception the user sees.
+_TT_OVERFLOW = 7
+
+
+class _Overflow(Exception):
+    """A kernel latched TT_OVERFLOW: its results are void, and the caller
+    re-runs the same work on the Python tier (kernels do no I/O, and
+    arrays and reductions are written back only on success)."""
+
+
 def _map_error(code: int, a: int, b: int, span: Span):
     if code == 1:
         return TetraZeroDivisionError("integer division by zero", span)
@@ -383,12 +408,6 @@ def _map_error(code: int, a: int, b: int, span: Span):
     if code == 6:
         return TetraRuntimeError(
             "sqrt() is not defined for negative numbers", span
-        )
-    if code == 7:
-        return TetraRuntimeError(
-            "result does not fit in a 64-bit integer "
-            "(native-tier integer range)",
-            span,
         )
     return TetraRuntimeError(
         f"native kernel failed (internal error code {code})", span
@@ -489,7 +508,9 @@ class _ArrayRef:
         self.elem = elem
 
 
-_ARITH_SYMBOLS = {BinaryOp.ADD: "+", BinaryOp.SUB: "-", BinaryOp.MUL: "*"}
+#: op -> (C operator for reals, overflow-checked prelude helper for ints).
+_ARITH = {BinaryOp.ADD: ("+", "tt_iadd"), BinaryOp.SUB: ("-", "tt_isub"),
+          BinaryOp.MUL: ("*", "tt_imul")}
 _CMP_SYMBOLS = {
     BinaryOp.EQ: "==", BinaryOp.NE: "!=", BinaryOp.LT: "<",
     BinaryOp.LE: "<=", BinaryOp.GT: ">", BinaryOp.GE: ">=",
@@ -586,7 +607,7 @@ class _Emitter:
             return code, ty
         if isinstance(ty, RealType):
             return f"(-({code}))", REAL
-        return f"tt_ineg({code})", INT
+        return f"tt_ineg(ctx, {code}, {self._line(e)})", INT
 
     def _binop(self, op, lc, lt, rc, rt, line) -> tuple[str, object]:
         if op in _CMP_SYMBOLS:
@@ -602,7 +623,6 @@ class _Emitter:
         if not (lt.is_numeric and rt.is_numeric):
             raise _Ineligible("arithmetic on non-numeric values is not lowered")
         real = isinstance(lt, RealType) or isinstance(rt, RealType)
-        out_ty = REAL if real else INT
         if op is BinaryOp.DIV:
             if real:
                 return (f"tt_rdiv(ctx, (double)({lc}), (double)({rc}), "
@@ -613,8 +633,10 @@ class _Emitter:
                 return (f"tt_rmod(ctx, (double)({lc}), (double)({rc}), "
                         f"{line})"), REAL
             return f"tt_imod(ctx, {lc}, {rc}, {line})", INT
-        sym = _ARITH_SYMBOLS[op]
-        return f"(({lc}) {sym} ({rc}))", out_ty
+        symbol, helper = _ARITH[op]
+        if real:
+            return f"(({lc}) {symbol} ({rc}))", REAL
+        return f"{helper}(ctx, {lc}, {rc}, {line})", INT
 
     def _call(self, e) -> tuple[str, object]:
         meta = self.callables.get(e.func)
@@ -654,7 +676,7 @@ class _Emitter:
                 raise _Ineligible("abs() on a non-numeric value")
             if isinstance(ty, RealType):
                 return f"fabs({code})", REAL
-            return f"tt_iabs({code})", INT
+            return f"tt_iabs(ctx, {code}, {line})", INT
         if name in ("min", "max"):
             (ac, at), (bc, bt) = self.expr(e.args[0]), self.expr(e.args[1])
             if not (at.is_numeric and bt.is_numeric):
@@ -807,7 +829,7 @@ class _Emitter:
         if not (isinstance(lo_ty, IntType) and isinstance(hi_ty, IntType)):
             raise _Ineligible("range bounds are not ints")
         lo, hi = self._temp("lo"), self._temp("hi")
-        it = self._temp("it")
+        it, done = self._temp("it"), self._temp("done")
         self.out("{")
         self.depth += 1
         self.out(f"int64_t {lo} = {lo_code};")
@@ -817,8 +839,11 @@ class _Emitter:
         # same-named nested loop) must not perturb this loop's own
         # progress.  A hidden counter drives the loop; the visible
         # variable is a per-iteration copy, and after the loop it keeps
-        # the last item, exactly like the walker.
-        self.out(f"for (int64_t {it} = {lo}; {it} <= {hi}; {it}++) {{")
+        # the last item, exactly like the walker.  The loop stops after
+        # visiting ``hi`` rather than testing ``it <= hi``, which would
+        # never fail for hi == INT64_MAX.
+        self.out(f"for (int64_t {it} = {lo}, {done} = {lo} > {hi}; "
+                 f"!{done}; {done} = {it} == {hi}, {it}++) {{")
         self.depth += 1
         self.out(f"{ref.code} = {it};")
         self.depth -= 1
@@ -907,11 +932,35 @@ static void tt_fail(tt_ctx *c, int64_t code, int64_t line,
 /* Polled at every loop back-edge: stops hot loops on error or interrupt. */
 #define TT_CHECK if (((++_tick) & 1023) == 0 && (ctx->stop | ctx->err)) break;
 
-static int64_t tt_ineg(int64_t a) { return (int64_t)(0 - (uint64_t)a); }
+/* An int result outside int64: the caller deoptimizes to Python's big
+ * integers.  The wrapped value returned meanwhile is never observed. */
+#define TT_OVERFLOW 7
+
+static inline int64_t tt_iadd(tt_ctx *c, int64_t a, int64_t b, int64_t line) {
+    int64_t r;
+    if (__builtin_add_overflow(a, b, &r)) tt_fail(c, TT_OVERFLOW, line, 0, 0);
+    return r;
+}
+
+static inline int64_t tt_isub(tt_ctx *c, int64_t a, int64_t b, int64_t line) {
+    int64_t r;
+    if (__builtin_sub_overflow(a, b, &r)) tt_fail(c, TT_OVERFLOW, line, 0, 0);
+    return r;
+}
+
+static inline int64_t tt_imul(tt_ctx *c, int64_t a, int64_t b, int64_t line) {
+    int64_t r;
+    if (__builtin_mul_overflow(a, b, &r)) tt_fail(c, TT_OVERFLOW, line, 0, 0);
+    return r;
+}
+
+static inline int64_t tt_ineg(tt_ctx *c, int64_t a, int64_t line) {
+    return tt_isub(c, 0, a, line);
+}
 
 static int64_t tt_idiv(tt_ctx *c, int64_t a, int64_t b, int64_t line) {
     if (b == 0) { tt_fail(c, 1, line, 0, 0); return 0; }
-    if (b == -1) return tt_ineg(a);  /* INT64_MIN / -1 would trap */
+    if (b == -1) return tt_ineg(c, a, line);  /* INT64_MIN / -1 traps */
     return a / b;  /* C99: truncation toward zero, same as Tetra int_div */
 }
 
@@ -945,7 +994,7 @@ static double tt_sqrt(tt_ctx *c, double x, int64_t line) {
 
 static int64_t tt_f2i(tt_ctx *c, double f, int64_t line) {
     if (!(f >= -9223372036854775808.0 && f < 9223372036854775808.0)) {
-        tt_fail(c, 7, line, 0, 0);
+        tt_fail(c, TT_OVERFLOW, line, 0, 0);
         return 0;
     }
     return (int64_t)f;
@@ -964,7 +1013,9 @@ static int64_t tt_round(tt_ctx *c, double x, int64_t line) {
     return tt_f2i(c, x >= 0.0 ? floor(x + 0.5) : ceil(x - 0.5), line);
 }
 
-static int64_t tt_iabs(int64_t a) { return a < 0 ? tt_ineg(a) : a; }
+static inline int64_t tt_iabs(tt_ctx *c, int64_t a, int64_t line) {
+    return a < 0 ? tt_ineg(c, a, line) : a;
+}
 static int64_t tt_imin(int64_t a, int64_t b) { return a < b ? a : b; }
 static int64_t tt_imax(int64_t a, int64_t b) { return a > b ? a : b; }
 """
@@ -1067,8 +1118,8 @@ def _emit_function(fn, sig, scope, callables: dict,
 def _loop_signature_text(meta) -> str:
     item_c = _ctype(meta.var_ty)
     params = [
-        "tt_ctx *ctx", "int64_t nworkers", "int64_t *starts",
-        "int64_t *counts", f"{item_c} *items",
+        "tt_ctx *ctx", "int64_t nworkers", "int64_t *firsts",
+        "int64_t *counts", "int64_t *steps", f"{item_c} *items",
     ]
     for name, ty in meta.env:
         if isinstance(ty, ArrayType):
@@ -1112,8 +1163,9 @@ def _emit_loop(stmt, meta, program, callables: dict,
     cname = meta.cname
     struct_fields = [
         "    tt_ctx *ctx;",
-        "    int64_t start;",
+        "    int64_t first;",
         "    int64_t count;",
+        "    int64_t step;",
         f"    {item_c} *items;",
     ]
     for name, ty in meta.env:
@@ -1146,9 +1198,16 @@ def _emit_loop(stmt, meta, program, callables: dict,
             lines.append(f"    {_ctype(ty)} v_{name} = e->v_{name};")
     for name, _op, ty in meta.reductions:
         lines.append(f"    {_ctype(ty)} r_{name} = e->r_{name};")
-    lines.append("    for (int64_t _it = 0; _it < e->count; _it++) {")
+    # Worker w visits first + i*step for i < count: the items themselves
+    # for a range iterable (items == NULL), else positions in the items
+    # buffer.
+    lines.append(f"    {item_c} *items = e->items;")
+    lines.append("    int64_t first = e->first, count = e->count, "
+                 "step = e->step;")
+    lines.append("    for (int64_t _it = 0; _it < count; _it++) {")
     lines.append("        TT_CHECK")
-    lines.append(f"        v_{var} = e->items[e->start + _it];")
+    lines.append("        int64_t _k = first + _it * step;")
+    lines.append(f"        v_{var} = items ? items[_k] : ({item_c})_k;")
     lines.extend(em.lines)
     lines.append("    }")
     for name, _op, _ty in meta.reductions:
@@ -1173,8 +1232,9 @@ def _emit_loop(stmt, meta, program, callables: dict,
     lines.append("    }")
     lines.append("    for (w = 0; w < nworkers; w++) {")
     lines.append("        envs[w].ctx = ctx;")
-    lines.append("        envs[w].start = starts[w];")
+    lines.append("        envs[w].first = firsts[w];")
     lines.append("        envs[w].count = counts[w];")
+    lines.append("        envs[w].step = steps[w];")
     lines.append("        envs[w].items = items;")
     for name, ty in meta.env:
         if isinstance(ty, ArrayType):
@@ -1435,6 +1495,8 @@ class NativeRun:
                       if token is not None else None)
         if stored is not None:
             raise stored
+        if cctx.err == _TT_OVERFLOW:
+            raise _Overflow()
         if cctx.err:
             err_span = module.lowering.line_spans.get(cctx.err_line, span)
             exc = _map_error(cctx.err, cctx.err_a, cctx.err_b, err_span)
@@ -1466,6 +1528,8 @@ class NativeRun:
         ret_ty = meta.return_type
         state = self.state
         interp = self.interp
+        overflow_reason = (f"'{name}': a call deoptimized (an int result "
+                           "left the 64-bit range)")
 
         def invoke(args, ctx, span):
             cargs = []
@@ -1491,7 +1555,11 @@ class NativeRun:
                 # beyond 64 bits): run the Python fast path instead.
                 return fallback(args, ctx, span)
             state.calls += 1
-            ret = self._call(func, cargs, ctx, span)
+            try:
+                ret = self._call(func, cargs, ctx, span)
+            except _Overflow:
+                state.note_fallback(meta.line, overflow_reason)
+                return fallback(args, ctx, span)
             for arr, buf, n, elem in writebacks:
                 data = list(ffi.unpack(buf, n)) if n else []
                 if isinstance(elem, BoolType):
@@ -1520,11 +1588,44 @@ class NativeRun:
         return invoke
 
     # -- parallel-for offload ------------------------------------------
-    def try_parallel_for(self, interp, stmt, items, ctx) -> bool:
+    def _loop_meta(self, stmt):
+        """The kernel for ``stmt`` in the loaded module, or None."""
         if self.module is None:
-            return False
+            return None
         meta = getattr(stmt, "_native_loop", None)
         if meta is None or meta.module_key != self.module.lowering.key:
+            return None
+        return meta
+
+    def runs_range_loop(self, stmt) -> bool:
+        """Does ``stmt`` iterate a ``[a ... b]`` range into a loaded
+        kernel?  Such loops go through :meth:`range_parallel_for`."""
+        return (isinstance(stmt.iterable, RangeLiteral)
+                and self._loop_meta(stmt) is not None)
+
+    def range_parallel_for(self, interp, stmt, start_fn, stop_fn, ctx):
+        """Run a :meth:`runs_range_loop` loop from its bounds.
+
+        ``start_fn(ctx)`` and then ``stop_fn(ctx)`` run once each, as
+        when the walker evaluates the range literal, and the kernel gets
+        a ``range``: no list of items is built for it.  Returns None when
+        the loop is done (an empty range, or the kernel ran), else the
+        item list — built once, from the same bounds — for the in-process
+        path.  (A loaded module implies a run without cost accounting or
+        a memory meter, which the walker's range literal would feed.)
+        """
+        start = start_fn(ctx)
+        items = range(start, stop_fn(ctx) + 1)  # inclusive, per Figure II
+        if not items or self.try_parallel_for(interp, stmt, items, ctx):
+            return None
+        return list(items)
+
+    def try_parallel_for(self, interp, stmt, items, ctx) -> bool:
+        """Run ``stmt`` on its kernel over ``items`` (a list, or a
+        ``range`` for a ``[a ... b]`` iterable).  False leaves the loop to
+        the in-process path, with the reason noted as a fallback."""
+        meta = self._loop_meta(stmt)
+        if meta is None:
             return False
         state = self.state
         env = ctx.env
@@ -1571,19 +1672,29 @@ class NativeRun:
             workers = interp.backend.parallel_for_workers(len(items))
             chunks = [c for c in interp._partition(items, workers) if c]
             nworkers = len(chunks)
-            flat = [x for chunk in chunks for x in chunk]
-            if isinstance(meta.var_ty, RealType):
-                items_buf = ffi.new("double[]", [float(x) for x in flat])
+            counts = [len(chunk) for chunk in chunks]
+            if isinstance(chunks[0], range):
+                # block/cyclic slices of a range are ranges: C computes
+                # each item as first + i*step, so only the range's ends
+                # need a 64-bit check.
+                self._as_i64(items[0])
+                self._as_i64(items[-1])
+                firsts = [chunk.start for chunk in chunks]
+                steps = [chunk.step for chunk in chunks]
+                items_buf = ffi.NULL
             else:
+                # One flat buffer, chunk after chunk; cffi checks that
+                # every item fits (OverflowError / TypeError below).
+                firsts = [0] * nworkers
+                for w in range(1, nworkers):
+                    firsts[w] = firsts[w - 1] + counts[w - 1]
+                steps = [1] * nworkers
                 items_buf = ffi.new(
-                    "int64_t[]", [self._as_i64(x) for x in flat])
-            starts, counts, pos = [], [], 0
-            for chunk in chunks:
-                starts.append(pos)
-                counts.append(len(chunk))
-                pos += len(chunk)
-            cargs = [nworkers, ffi.new("int64_t[]", starts),
-                     ffi.new("int64_t[]", counts), items_buf]
+                    f"{_ctype(meta.var_ty)}[]",
+                    [x for chunk in chunks for x in chunk])
+            cargs = [nworkers, ffi.new("int64_t[]", firsts),
+                     ffi.new("int64_t[]", counts),
+                     ffi.new("int64_t[]", steps), items_buf]
             bufs: dict[int, tuple] = {}
             writebacks = []
             for name, ty in meta.env:
@@ -1617,14 +1728,23 @@ class NativeRun:
         func = getattr(self.module.lib, meta.cname)
         obs = interp._obs
         t0 = obs.clock() if (obs is not None and obs.trace) else 0.0
-        self._call(func, cargs, ctx, stmt.span)
-        # Merge: same math as the proc backend.  sum: the initial value
-        # plus each worker's delta; min/max: extreme of initial + finals.
+        try:
+            self._call(func, cargs, ctx, stmt.span)
+        except _Overflow:
+            state.note_fallback(
+                line, "deoptimized (an int result left the 64-bit range)")
+            return False
+        # Merge like the proc backend.  sum: worker 0's final (its
+        # accumulator started from the initial value, so one worker is
+        # bit-exact for reals too) plus each later worker's delta;
+        # min/max: extreme of initial + finals.
         for (name, op, ty), init, out in zip(
                 meta.reductions, red_init, red_outs):
             finals = list(ffi.unpack(out, nworkers))
             if op == "sum":
-                merged = init + sum(v - init for v in finals)
+                merged = finals[0]
+                for final in finals[1:]:
+                    merged = merged + (final - init)
             elif op == "min":
                 merged = min([init] + finals)
             else:

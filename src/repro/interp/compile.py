@@ -765,7 +765,15 @@ class _Compiler:
 
     def _stmt_parallel_for(self, s: ParallelFor) -> StmtRun:
         interp = self.interp
-        iterable_fn = self.expr(s.iterable)
+        native = getattr(interp, "_native", None)
+        # A `[a ... b]` loop with a loaded kernel hands the kernel its
+        # bounds; the item list is built only if the kernel declines.
+        range_route = native is not None and native.runs_range_loop(s)
+        if range_route:
+            start_fn = self.expr(s.iterable.start)
+            stop_fn = self.expr(s.iterable.stop)
+        else:
+            iterable_fn = self.expr(s.iterable)
         body = self.block(s.body)
         var = s.var
         span = s.span
@@ -778,15 +786,20 @@ class _Compiler:
         obs = self._obs
         try_offload = backend.try_parallel_for
         sched_rec = interp.config.schedule_recorder
-        native = getattr(interp, "_native", None)
 
         def run(ctx):
-            items = interp._iterate(iterable_fn(ctx), span)
-            if not items:
-                return
-            if native is not None and native.try_parallel_for(interp, s,
-                                                              items, ctx):
-                return
+            if range_route:
+                items = native.range_parallel_for(interp, s, start_fn,
+                                                  stop_fn, ctx)
+                if items is None:
+                    return
+            else:
+                items = interp._iterate(iterable_fn(ctx), span)
+                if not items:
+                    return
+                if native is not None and native.try_parallel_for(
+                        interp, s, items, ctx):
+                    return
             if try_offload is not None and try_offload(interp, s, items,
                                                        ctx):
                 return

@@ -25,7 +25,6 @@ from ..errors import (
     TetraLimitError,
     TetraRuntimeError,
     TetraThreadError,
-    TetraTypeError,
     is_catchable,
 )
 from ..source import NO_SPAN, SourceFile, Span
@@ -44,7 +43,6 @@ from ..tetra_ast import (
     Continue,
     Declare,
     DictLiteral,
-    FunctionDef,
     Expr,
     ExprStmt,
     For,
@@ -662,13 +660,22 @@ class Interpreter:
                                [c.id for c, _t in jobs], span.line, join)
 
     def _exec_parallel_for(self, stmt: ParallelFor, ctx: ThreadContext) -> None:
-        items = self._iterate(self.eval_expr(stmt.iterable, ctx), stmt.span)
-        if not items:
-            return
         native = self._native
-        if native is not None and native.try_parallel_for(self, stmt, items,
-                                                          ctx):
-            return
+        if native is not None and native.runs_range_loop(stmt):
+            bounds = stmt.iterable
+            items = native.range_parallel_for(
+                self, stmt, lambda c: self.eval_expr(bounds.start, c),
+                lambda c: self.eval_expr(bounds.stop, c), ctx)
+            if items is None:
+                return
+        else:
+            items = self._iterate(self.eval_expr(stmt.iterable, ctx),
+                                  stmt.span)
+            if not items:
+                return
+            if native is not None and native.try_parallel_for(
+                    self, stmt, items, ctx):
+                return
         offload = self.backend.try_parallel_for
         if offload is not None and offload(self, stmt, items, ctx):
             return

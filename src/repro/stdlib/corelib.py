@@ -18,7 +18,6 @@ from ..errors import (
     TetraUserError,
 )
 from ..types.types import (
-    BOOL,
     INT,
     REAL,
     STRING,
@@ -30,7 +29,7 @@ from ..types.types import (
     StringType,
     Type,
 )
-from ..runtime.values import TetraArray, deep_copy, display, make_array
+from ..runtime.values import TetraArray, deep_copy, display
 from .builtin_time import monotonic_clock
 from .registry import builtin, polymorphic
 
@@ -138,7 +137,11 @@ def _array(args, io, span):
         raise TetraRuntimeError(f"array() length must be >= 0, not {n}", span)
     from ..runtime.values import type_of_value
 
-    return TetraArray([deep_copy(value) for _ in range(n)], type_of_value(value))
+    if isinstance(value, (int, float, str)):  # immutable (bool is an int)
+        items = [value] * n
+    else:
+        items = [deep_copy(value) for _ in range(n)]
+    return TetraArray(items, type_of_value(value))
 
 
 def _copy_rule(arg_types: tuple[Type, ...]) -> Type:

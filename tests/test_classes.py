@@ -12,7 +12,7 @@ import textwrap
 import pytest
 
 from conftest import run, walker_differential as differential
-from repro.errors import TetraRuntimeError, TetraSyntaxError
+from repro.errors import TetraSyntaxError
 from repro.parser import parse_source
 from repro.source import SourceFile
 from repro.tetra_ast import node_equal, unparse

@@ -18,7 +18,6 @@ from repro.errors import (
     TetraDeadlockError,
     TetraIndexError,
     TetraRuntimeError,
-    TetraTypeError,
 )
 from repro.parser import parse_source
 from repro.tetra_ast import node_equal, unparse

@@ -13,11 +13,10 @@ import importlib.util
 import textwrap
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.api import run_source
 from repro.compiler.native import find_compiler
-from repro.errors import TetraError
 
 VARS = ["a", "b", "c"]
 
@@ -204,10 +203,10 @@ class TestDifferentialFuzz:
 # ----------------------------------------------------------------------
 @st.composite
 def native_statements(draw, depth=0):
-    """Like :func:`statements`, but growth-bounded: native kernels do
-    64-bit wraparound arithmetic (a documented lowering deviation), so
-    the generator must keep every intermediate inside int64 — additive
-    augmented assignments only, and products only of small leaves."""
+    """Like :func:`statements`, minus ``print`` (a native function body
+    does no I/O).  Products of variables under nested loops leave the
+    64-bit range, where a native kernel must deoptimize to Python's big
+    integers and still print what the walker prints."""
     kind = draw(st.sampled_from(
         ["assign", "aug", "if", "for"]
         if depth < 2 else ["assign", "aug"]
@@ -217,7 +216,7 @@ def native_statements(draw, depth=0):
         return [f"{var} = {draw(int_exprs())}"]
     if kind == "aug":
         var = draw(st.sampled_from(VARS))
-        op = draw(st.sampled_from(["+", "-"]))
+        op = draw(st.sampled_from(["+", "-", "*"]))
         return [f"{var} {op}= {draw(st.integers(1, 9))}"]
     if kind == "if":
         cond = draw(conditions())
@@ -258,6 +257,30 @@ def native_function_programs(draw):
     return "\n".join(fn) + "\n\n" + "\n".join(main) + "\n"
 
 
+OVERFLOW_SQUARE_GROWTH = """\
+def kernel(a int, b int, c int) int:
+    c = (-8)
+    for i in [1 ... 4]:
+        c = (c * ((-23) + c))
+    return a + b + c
+
+def main():
+    print(kernel(0, 0, 0))
+"""
+
+OVERFLOW_REPEATED_SQUARING = """\
+def kernel(a int, b int, c int) int:
+    a = 2
+    for i in [1 ... 2]:
+        for i in [1 ... 3]:
+            a = (a * a)
+    return a + b + c
+
+def main():
+    print(kernel(0, 0, 0))
+"""
+
+
 @pytest.mark.skipif(
     find_compiler() is None
     or importlib.util.find_spec("cffi") is None,
@@ -265,6 +288,10 @@ def native_function_programs(draw):
 class TestNativeFuzz:
     @given(native_function_programs())
     @settings(max_examples=60, deadline=None)
+    # Two falsifiers of the former int64 wraparound: the walker prints
+    # 9686763533979358200 and 2**64, both beyond int64.
+    @example(OVERFLOW_SQUARE_GROWTH)
+    @example(OVERFLOW_REPEATED_SQUARING)
     def test_native_functions_match_tree_walker(self, text):
         walker = run_source(text, native="off").output
         compiled = run_source(text, native="require").output

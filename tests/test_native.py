@@ -331,6 +331,19 @@ class TestDifferential:
         """)
         assert kind == "ok" and out == f"{2 ** 69}\n"
 
+    def test_range_up_to_int64_max_terminates(self):
+        kind, out = differential("""
+        def count_to_top(n int) int:
+            s = 0
+            for i in [n ... 9223372036854775807]:
+                s += 1
+            return s
+
+        def main():
+            print(count_to_top(9223372036854775805))
+        """)
+        assert kind == "ok" and out == "3\n"
+
     @pytest.mark.parametrize("chunking", ["block", "cyclic", "dynamic"])
     @pytest.mark.parametrize("workers", [1, 3])
     def test_sum_reduction_across_policies(self, chunking, workers):
@@ -397,6 +410,189 @@ class TestDifferential:
             print(count)
         """, num_workers=2)
         assert kind == "ok" and out == "168\n"
+
+
+# ----------------------------------------------------------------------
+# `parallel for v in [a ... b]`: the kernel gets the bounds, not a list
+# ----------------------------------------------------------------------
+@pytest.fixture
+def offloads(monkeypatch):
+    """(type of the items handed to the kernel, whether it ran) per
+    native ``parallel for`` dispatch."""
+    seen = []
+    original = native.NativeRun.try_parallel_for
+
+    def spy(self, interp, stmt, items, ctx):
+        ran = original(self, interp, stmt, items, ctx)
+        seen.append((type(items).__name__, ran))
+        return ran
+
+    monkeypatch.setattr(native.NativeRun, "try_parallel_for", spy)
+    return seen
+
+
+def range_parity(text, workers=2, chunking="block"):
+    """Run ``text`` on the tree walker with native off, then natively from
+    both executors (fast path and walker).  All three must print the same;
+    returns that output and the native fast-path run's metrics."""
+    text = textwrap.dedent(text)
+
+    def config():
+        return RuntimeConfig(num_workers=workers, chunking=chunking)
+
+    walker = run_source(text, native="off", fast=False,
+                        config=config()).output
+    fast = run_source(text, native="require", config=config(), metrics=True)
+    slow = run_source(text, native="require", fast=False,
+                      config=config()).output
+    assert fast.output == walker, (walker, fast.output)
+    assert slow == walker, (walker, slow)
+    return walker, fast.metrics.native
+
+
+@needs_cc
+class TestRangeRoute:
+    PARTITION = """
+    def main():
+        total = 0
+        lo = 1000000
+        hi = -1000000
+        seen = array(48, 0)
+        parallel for i in [-7 ... 40]:
+            seen[i + 7] = seen[i + 7] + i * 10 + 1
+            lock t:
+                total += i * i - 3 * i
+            if i < lo:
+                lock lo:
+                    if i < lo:
+                        lo = i
+            if i > hi:
+                lock hi:
+                    if i > hi:
+                        hi = i
+        print(total)
+        print(lo)
+        print(hi)
+        print(seen)
+    """
+
+    @pytest.mark.parametrize("chunking", ["block", "cyclic", "dynamic"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_every_policy_visits_each_item_once(self, chunking, workers,
+                                                offloads):
+        out, info = range_parity(self.PARTITION, workers, chunking)
+        items = range(-7, 41)
+        assert out.splitlines()[:3] == [
+            str(sum(i * i - 3 * i for i in items)), "-7", "40"]
+        assert out.splitlines()[3] == \
+            "[" + ", ".join(str(i * 10 + 1) for i in items) + "]"
+        # Both native executors handed the kernel a range, and it ran.
+        assert offloads == [("range", True)] * 2
+        assert info["parallel_calls"] == 1
+
+    @pytest.mark.parametrize("bounds, expected", [
+        ("[5 ... 4]", "0\n"),        # empty: the body never runs
+        ("[3 ... 3]", "9\n"),        # a single item
+        ("[-9 ... -2]", f"{sum(i * i for i in range(-9, -1))}\n"),
+    ])
+    def test_empty_single_and_negative_ranges(self, bounds, expected,
+                                              offloads):
+        out, _info = range_parity(f"""
+        def main():
+            total = 0
+            parallel for i in {bounds}:
+                lock t:
+                    total += i * i
+            print(total)
+        """, workers=3)
+        assert out == expected
+        assert all(kind == "range" for kind, _ran in offloads)
+
+    def test_bounds_are_evaluated_once_each_in_order(self, offloads):
+        out, _info = range_parity("""
+        def lo() int:
+            print("lo")
+            return 2
+
+        def hi() int:
+            print("hi")
+            return 11
+
+        def main():
+            total = 0
+            parallel for i in [lo() ... hi()]:
+                lock t:
+                    total += i
+            print(total)
+        """)
+        assert out == "lo\nhi\n65\n"
+        assert offloads == [("range", True)] * 2
+
+    def test_bound_beyond_int64_falls_back_after_one_evaluation(
+            self, offloads):
+        # The kernel declines once it sees the bound; the in-process path
+        # then runs on the list built from the same, already-printed,
+        # bounds.
+        out, info = range_parity("""
+        def hi() int:
+            print("hi")
+            return 9223372036854775809
+
+        def main():
+            total = 0
+            parallel for i in [9223372036854775805 ... hi()]:
+                lock t:
+                    total += i
+            print(total)
+        """)
+        assert out == f"hi\n{sum(range(2 ** 63 - 3, 2 ** 63 + 2))}\n"
+        assert offloads == [("range", False)] * 2
+        reasons = [why for _line, why in info["fallbacks"]]
+        assert "a value does not fit in a 64-bit integer" in reasons
+        assert info["parallel_calls"] == 0
+
+    def test_overflow_inside_the_kernel_deoptimizes(self, offloads):
+        out, info = range_parity("""
+        def main():
+            total = 0
+            parallel for i in [1 ... 10]:
+                lock t:
+                    total += i * 3037000499 * 3037000499
+            print(total)
+        """, workers=2)
+        assert out == f"{sum(range(1, 11)) * 3037000499 ** 2}\n"
+        assert offloads == [("range", False)] * 2
+        assert any("64-bit range" in why for _line, why in info["fallbacks"])
+
+    def test_real_sum_reduction_is_bit_exact_on_one_worker(self):
+        # One worker adds in item order from the initial value, exactly
+        # like the walker, so even inexact terms agree to the last bit.
+        out, _info = range_parity("""
+        def main():
+            total = 3.3
+            parallel for i in [1 ... 300]:
+                lock t:
+                    total += 1.0 / (i * 0.7 + 0.3)
+            print(total)
+        """, workers=1)
+        # Merged as init + (final - init), these terms end one ulp off.
+        assert out == "11.499084023478249\n"
+
+    @pytest.mark.parametrize("chunking", ["block", "cyclic", "dynamic"])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_real_sum_reduction_across_workers(self, chunking, workers):
+        # With several workers the order of additions depends on the
+        # partition (and, on threads, on the schedule), so only terms
+        # whose partial sums are exact have one right answer: quarters.
+        out, _info = range_parity("""
+        def main():
+            total = 0.5
+            parallel for i in [-40 ... 200]:
+                lock t:
+                    total += i * 0.25
+            print(total)
+        """, workers, chunking)
+        assert out == f"{0.5 + sum(range(-40, 201)) * 0.25}\n"
 
 
 # ----------------------------------------------------------------------

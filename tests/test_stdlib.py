@@ -102,6 +102,20 @@ class TestArrayBuiltins:
                 print(m)
         """) == ["[[9, 0], [0, 0]]"]
 
+    def test_array_of_scalars_has_independent_slots(self):
+        # Scalars fill the array by reference (they are immutable);
+        # storing into one slot must leave the others alone.
+        assert run("""
+            def main():
+                xs = array(3, 0)
+                ys = array(2, true)
+                zs = array(2, 1.5)
+                xs[1] = 5
+                ys[0] = false
+                zs[1] += 1.0
+                print(xs, ys, zs)
+        """) == ["[0, 5, 0][false, true][1.5, 2.5]"]
+
     def test_copy_is_deep(self):
         assert run("""
             def main():
